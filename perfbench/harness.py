@@ -265,6 +265,17 @@ def peak_rss_mb(pid: int) -> float:
     raise RuntimeError(f"no VmHWM for pid {pid}")
 
 
+def pss_mb(pid="self") -> float:
+    """Proportional set size of a live process, in MB: each page counts
+    divided by the number of processes that map it, so summing over a
+    process tree counts shared pages once."""
+    with open(f"/proc/{pid}/smaps_rollup") as handle:
+        for line in handle:
+            if line.startswith("Pss:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no Pss for pid {pid}")
+
+
 def blas_threads() -> Dict[str, Optional[str]]:
     return {var: os.environ.get(var) for var in
             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}

@@ -2,11 +2,11 @@
 ``sharded`` (``ingest`` runs but does not gate; see ``METRICS.md``).
 
 Each workload function takes a :class:`Config` and returns a
-:class:`~harness.Outcome`.  It sets itself up ``SETUP_REPS`` times
-(the median repetition is ``setup_s``), runs its timed loop for
-``seconds``, then checks the program's outputs against the program's
-own reference path outside the timed window; every mismatch is a
-failed operation.
+:class:`~harness.Outcome`.  It sets itself up, runs its timed loop for
+``seconds`` in ``SETUP_REPS - 1`` segments with one more set-up
+repetition between them (the median repetition is ``setup_s``), then
+checks the program's outputs against the program's own reference path
+outside the timed window; every mismatch is a failed operation.
 
 With ``trace`` on, the run gets its per-layer numbers from timing
 proxies around the objects the benchmark hands to the program (the
@@ -35,11 +35,11 @@ import numpy as np
 from harness import (WINDOW, Outcome, Switch, TimedEnsemble, TimedFleet,
                      alternate, blas_threads, chunk_rows, fabricate_ensemble,
                      import_seconds, make_series, make_streams, median, ms,
-                     overhead_pct, p90, p99, peak_rss_mb,
+                     overhead_pct, p90, p99, peak_rss_mb, pss_mb,
                      reset_chunk_autotune, self_peak_rss_mb)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETUP_REPS = 3
+SETUP_REPS = 5
 BLOCK_SECONDS = 0.5
 # A perturbed output must fail every check: bit-identity and the
 # float32 1e-5 tolerance alike.
@@ -55,23 +55,55 @@ class Config:
     small: bool = False          # minimal sizes for the self-check
 
 
-def _setup(build, teardown):
-    """Set up ``SETUP_REPS`` times, tearing down all but the last;
-    returns the kept state and the median set-up seconds.
+class Setups:
+    """Times ``SETUP_REPS`` set-up repetitions spread over the run.
+
+    :meth:`keep` builds the state the timed phase uses; :meth:`repeat`
+    builds another and tears it down at once, between segments of the
+    timed phase (see :func:`timed_phase`), so a host contention phase
+    at the start of a run does not set ``setup_s`` alone.
 
     A repetition is a fresh interpreter's imports plus ``build()``: the
     benchmark process imports only once, so each repetition times the
-    imports in a child process."""
-    state, times = None, []
-    for _ in range(SETUP_REPS):
-        if state is not None:
-            teardown(state)
+    imports in a child process.  With ``imports=False`` (``serve``)
+    ``build()`` itself starts a fresh interpreter that imports the
+    program, and nothing is added."""
+
+    def __init__(self, build, teardown=lambda state: None,
+                 imports: bool = True):
+        self.build = build
+        self.teardown = teardown
+        self.imports = imports
+        self.times: List[float] = []
+
+    def keep(self):
         reset_chunk_autotune()
-        imports = import_seconds(ROOT)
+        imports = import_seconds(ROOT) if self.imports else 0.0
         start = time.perf_counter()
-        state = build()
-        times.append(imports + time.perf_counter() - start)
-    return state, median(times)
+        state = self.build()
+        self.times.append(imports + time.perf_counter() - start)
+        return state
+
+    def repeat(self) -> None:
+        self.teardown(self.keep())
+
+    @property
+    def seconds(self) -> float:
+        return median(self.times)
+
+
+def timed_phase(config: Config, setups: Setups, run_until) -> float:
+    """Runs ``run_until(deadline)`` for ``config.seconds`` in
+    ``SETUP_REPS - 1`` equal segments, with one set-up repetition after
+    each, outside the timing.  Returns the timed seconds."""
+    segments = SETUP_REPS - 1
+    elapsed = 0.0
+    for _ in range(segments):
+        start = time.perf_counter()
+        run_until(start + config.seconds / segments)
+        elapsed += time.perf_counter() - start
+        setups.repeat()
+    return elapsed
 
 
 def _sample(rng: np.random.Generator, n: int, k: int) -> List[int]:
@@ -86,10 +118,11 @@ def _split(latencies, flags):
     return on, off
 
 
-def _end_to_end(outcome: Outcome, setup_s: float, latencies: List[float],
+def _end_to_end(outcome: Outcome, setups: Setups, latencies: List[float],
                 observations: int, elapsed: float, rss: float) -> None:
+    outcome.meta["setup_reps_s"] = setups.times
     outcome.end_to_end.update({
-        "setup_s": setup_s,
+        "setup_s": setups.seconds,
         "p90_ms": ms(p90(latencies)),
         "rss_mb": rss,
     })
@@ -151,28 +184,33 @@ def ingest(config: Config) -> Outcome:
         first = fleet.update_coalesced(batch(0))
         return ensemble, target, fleet, first
 
-    (ensemble, target, fleet, first), setup = _setup(build,
-                                                    lambda state: None)
+    setups = Setups(build)
+    ensemble, target, fleet, first = setups.keep()
     outcome.meta["fused.chunk_rows"] = chunk_rows()
     scores = [[first[name][0].score for name in names]]
     latencies, flags, ticks = [], [], []
     phase = alternate(switch, BLOCK_SECONDS) if config.trace else None
-    start = time.perf_counter()
-    deadline = start + config.seconds
     k = 1
-    while time.perf_counter() < deadline and k < INGEST_ROWS:
-        flag = phase() if phase is not None else False
-        inside = target.inside if flag else 0.0
-        tick = time.perf_counter()
-        results = fleet.update_coalesced(batch(k))
-        latencies.append(time.perf_counter() - tick)
-        flags.append(flag)
-        if flag:
-            ticks.append((tick, latencies[-1], target.inside - inside))
-        scores.append([results[name][0].score for name in names])
-        k += 1
-    elapsed = time.perf_counter() - start
+
+    def run_until(deadline: float) -> None:
+        nonlocal k
+        while time.perf_counter() < deadline and k < INGEST_ROWS:
+            flag = phase() if phase is not None else False
+            inside = target.inside if flag else 0.0
+            tick = time.perf_counter()
+            results = fleet.update_coalesced(batch(k))
+            latencies.append(time.perf_counter() - tick)
+            flags.append(flag)
+            if flag:
+                ticks.append((tick, latencies[-1], target.inside - inside))
+            scores.append([results[name][0].score for name in names])
+            k += 1
+
+    elapsed = timed_phase(config, setups, run_until)
     switch.set(False)
+    # The set-up repetitions between segments re-tune the process-wide
+    # fused chunk, which the kept fleet then scores with.
+    outcome.meta["fused.chunk_rows_last"] = chunk_rows()
 
     # Check: sampled ticks against the per-model fused=False path.
     outcome.attempted = len(latencies)
@@ -189,7 +227,7 @@ def ingest(config: Config) -> Outcome:
     outcome.meta["ticks_checked"] = len(checked)
 
     if not config.trace:
-        _end_to_end(outcome, setup, latencies,
+        _end_to_end(outcome, setups, latencies,
                     len(latencies) * n_streams, elapsed,
                     self_peak_rss_mb())
         return outcome
@@ -230,6 +268,11 @@ def sharded(config: Config) -> Outcome:
         return {name: data[i, first:first + rows]
                 for i, name in enumerate(names)}
 
+    def scores(results) -> np.ndarray:
+        # Compact, so what the benchmark keeps barely moves rss_mb.
+        return np.array([[u.score for u in results[name]]
+                         for name in names], dtype=np.float64)
+
     def traced_factory(ensemble):
         def factory(index, coordinator):
             fleet = shared_fleet(ensemble, history=WINDOW,
@@ -253,26 +296,35 @@ def sharded(config: Config) -> Outcome:
             raise
         return ensemble, fleet, first
 
-    (ensemble, fleet, first), setup = _setup(
-        build, lambda state: state[1].shutdown())
+    setups = Setups(build, lambda state: state[1].shutdown())
+    ensemble, fleet, first = setups.keep()
     try:
-        results_by_tick = [first]
+        observed = [scores(first)]
         latencies, flags = [], []
         phase = alternate(switch, BLOCK_SECONDS) if config.trace else None
-        start = time.perf_counter()
-        deadline = start + config.seconds
         k = 1
-        while time.perf_counter() < deadline and k < SHARDED_TICKS:
-            flags.append(phase() if phase is not None else False)
-            tick = time.perf_counter()
-            results_by_tick.append(fleet.update_coalesced(batch(k)))
-            latencies.append(time.perf_counter() - tick)
-            k += 1
-        elapsed = time.perf_counter() - start
+
+        def run_until(deadline: float) -> None:
+            nonlocal k
+            while time.perf_counter() < deadline and k < SHARDED_TICKS:
+                flags.append(phase() if phase is not None else False)
+                tick = time.perf_counter()
+                results = fleet.update_coalesced(batch(k))
+                latencies.append(time.perf_counter() - tick)
+                observed.append(scores(results))
+                k += 1
+
+        elapsed = timed_phase(config, setups, run_until)
         switch.set(False)
         telemetry = fleet.telemetry()
-        rss = self_peak_rss_mb() + sum(peak_rss_mb(pid)
-                                       for pid in fleet.worker_pids())
+        # Peak RSS counts the pages the shards share copy-on-write with
+        # the parent once per process.  The proportional set sizes count
+        # them once across the tree, but how many of those pages a shard
+        # has copied varies with its GC timing (40-65 MB between runs),
+        # so they are recorded without gating.
+        pids = fleet.worker_pids()
+        rss = self_peak_rss_mb() + sum(peak_rss_mb(pid) for pid in pids)
+        outcome.meta["pss_mb"] = pss_mb() + sum(pss_mb(pid) for pid in pids)
         routing = [fleet.shard_of(name) for name in names]
     finally:
         fleet.shutdown()
@@ -282,9 +334,6 @@ def sharded(config: Config) -> Outcome:
 
     # Check: sampled ticks against an in-process StreamFleet.
     outcome.attempted = len(latencies)
-    observed = [np.array([[u.score for u in results[name]]
-                          for name in names], dtype=np.float64)
-                for results in results_by_tick]
     if config.perturb:
         observed[0][0, 0] += PERTURBATION
     checked = _sample(np.random.default_rng([config.seed, 5]),
@@ -294,15 +343,13 @@ def sharded(config: Config) -> Outcome:
         for i, name in enumerate(names):
             context = WINDOW - 1 + rows * k
             local.warm_up(name, data[i, context - (WINDOW - 1):context])
-        reference = local.update_coalesced(batch(k))
-        expected = np.array([[u.score for u in reference[name]]
-                             for name in names], dtype=np.float64)
+        expected = scores(local.update_coalesced(batch(k)))
         if not np.array_equal(observed[k], expected):
             outcome.failed += 1
     outcome.meta["ticks_checked"] = len(checked)
 
     if not config.trace:
-        _end_to_end(outcome, setup, latencies,
+        _end_to_end(outcome, setups, latencies,
                     len(latencies) * n_streams * rows, elapsed, rss)
         return outcome
     on, off = _split(latencies, flags)
@@ -419,49 +466,53 @@ def refresh(config: Config) -> Outcome:
         state[0].shutdown()
         state[0].drain(timeout=60.0)
 
-    state, setup = _setup(build, teardown)
+    setups = Setups(build, teardown)
+    state = setups.keep()
     coordinator, detectors = state
     previous = detectors[0].ensemble
     latencies, flags, spans, fits = [], [], [], []
     stats_on = [0, 0]                         # requests, deduped
     phase = alternate(Switch(), BLOCK_SECONDS) if config.trace else None
-    tracer.clear()
-    start = time.perf_counter()
-    deadline = start + config.seconds
     r = 1
-    while time.perf_counter() < deadline and r < REFRESH_ROUNDS:
-        flag = phase() if phase is not None else False
-        before = coordinator.stats()
-        latencies.append(run_round(detectors, r))
-        flags.append(flag)
-        after = coordinator.stats()
-        # Check: 4 requests, 3 deduplicated, 1 build; every stream
-        # serves the same new replacement instance.
-        replacements = {id(detector.ensemble) for detector in detectors}
-        if config.perturb and r == 1:
-            replacements.add(id(previous))
-        ok = (after.n_requests - before.n_requests == REFRESH_STREAMS
-              and after.n_deduped - before.n_deduped == REFRESH_STREAMS - 1
-              and after.n_admitted - before.n_admitted == 1
-              and after.n_completed - before.n_completed == 1
-              and len(replacements) == 1
-              and detectors[0].ensemble is not previous)
-        outcome.failed += 0 if ok else 1
-        previous = detectors[0].ensemble
-        if flag:
-            spans.extend(span.to_dict() for span in tracer.finished())
-            fits.append(previous.train_seconds_)
-            stats_on[0] += after.n_requests - before.n_requests
-            stats_on[1] += after.n_deduped - before.n_deduped
-        tracer.clear()
-        r += 1
-    elapsed = time.perf_counter() - start
+
+    def run_until(deadline: float) -> None:
+        nonlocal previous, r
+        while time.perf_counter() < deadline and r < REFRESH_ROUNDS:
+            flag = phase() if phase is not None else False
+            # Drops the spans of set-up and of earlier rounds.
+            tracer.clear()
+            before = coordinator.stats()
+            latencies.append(run_round(detectors, r))
+            flags.append(flag)
+            after = coordinator.stats()
+            # Check: 4 requests, 3 deduplicated, 1 build; every stream
+            # serves the same new replacement instance.
+            replacements = {id(detector.ensemble) for detector in detectors}
+            if config.perturb and r == 1:
+                replacements.add(id(previous))
+            ok = (after.n_requests - before.n_requests == REFRESH_STREAMS
+                  and after.n_deduped - before.n_deduped ==
+                  REFRESH_STREAMS - 1
+                  and after.n_admitted - before.n_admitted == 1
+                  and after.n_completed - before.n_completed == 1
+                  and len(replacements) == 1
+                  and detectors[0].ensemble is not previous)
+            outcome.failed += 0 if ok else 1
+            previous = detectors[0].ensemble
+            if flag:
+                spans.extend(span.to_dict() for span in tracer.finished())
+                fits.append(previous.train_seconds_)
+                stats_on[0] += after.n_requests - before.n_requests
+                stats_on[1] += after.n_deduped - before.n_deduped
+            r += 1
+
+    elapsed = timed_phase(config, setups, run_until)
     teardown(state)
     outcome.attempted = len(latencies)
     outcome.meta["fused.chunk_rows"] = chunk_rows()
 
     if not config.trace:
-        _end_to_end(outcome, setup, latencies,
+        _end_to_end(outcome, setups, latencies,
                     len(latencies) * REFRESH_STREAMS * ROUND_ROWS, elapsed,
                     self_peak_rss_mb())
         return outcome
@@ -591,72 +642,73 @@ class _ServerProcess:
 
 
 def serve(config: Config) -> Outcome:
-    return asyncio.run(_serve(config))
+    loop = asyncio.new_event_loop()
+    try:
+        return _serve(config, loop)
+    finally:
+        loop.close()
 
 
-async def _serve(config: Config) -> Outcome:
+def _serve(config: Config, loop) -> Outcome:
     from repro.serving import ServingClient, encode_frame
     from repro.streaming import shared_fleet
 
     names = [f"serve-{i:02d}" for i in range(SERVE_STREAMS)]
     data = make_streams(SERVE_STREAMS, SERVE_ROWS, config.seed, salt=3)
-    server = None
-    switch = Switch(notify=lambda on: server.send("on" if on else "off"))
     outcome = Outcome()
     sent = [0] * SERVE_STREAMS
     replies: List[list] = [[] for _ in range(SERVE_STREAMS)]
 
-    async def request(client, stream: int):
-        row = data[stream, WINDOW - 1 + sent[stream]]
-        sent[stream] += 1
-        reply = await client.update(names[stream], row.tolist())
-        replies[stream].append(reply)
-        return reply
+    async def connect(port: int):
+        clients = [await ServingClient.connect("127.0.0.1", port)
+                   for _ in range(SERVE_CONNECTIONS)]
+        # The first, untimed call of each connection: stream c's first
+        # row.
+        first = [await client.update(names[c], data[c, WINDOW - 1].tolist())
+                 for c, client in enumerate(clients)]
+        return clients, first
 
-    async def build():
+    async def close(clients) -> None:
+        for client in clients:
+            await client.close()
+
+    def build():
         server = _ServerProcess(config.seed, config.trace)
         try:
-            clients = [await ServingClient.connect("127.0.0.1", server.port)
-                       for _ in range(SERVE_CONNECTIONS)]
-            # The first, untimed call of each connection.
-            for c, client in enumerate(clients):
-                await request(client, c)
+            clients, first = loop.run_until_complete(connect(server.port))
         except BaseException:
             server.stop()
             raise
-        return server, clients
+        return server, clients, first
 
-    async def teardown(state):
-        server, clients = state
-        for client in clients:
-            await client.close()
+    def teardown(state) -> dict:
+        server, clients, _ = state
+        loop.run_until_complete(close(clients))
         return server.stop()
 
-    # As _setup, but asynchronous.  build() includes the server
-    # process's own start and imports.
-    times, state = [], None
-    for _ in range(SETUP_REPS):
-        if state is not None:
-            await teardown(state)
-            sent[:] = [0] * SERVE_STREAMS
-            for log in replies:
-                log.clear()
-        imports = import_seconds(ROOT)
-        start = time.perf_counter()
-        state = await build()
-        times.append(imports + time.perf_counter() - start)
-
-    server, clients = state
+    # build() starts a fresh server interpreter, which imports the
+    # program: the imports are counted there, once.
+    setups = Setups(build, teardown, imports=False)
+    state = setups.keep()
+    server, clients, first = state
+    for c, reply in enumerate(first):
+        sent[c] = 1
+        replies[c].append(reply)
+    switch = Switch(notify=lambda on: server.send("on" if on else "off"))
     latencies, flags = [], []
     phase = alternate(switch, BLOCK_SECONDS) if config.trace else None
-    start = time.perf_counter()
-    deadline = start + config.seconds
+    position = [0] * SERVE_CONNECTIONS
 
-    async def drive(c: int, client):
+    async def request(client, stream: int) -> None:
+        row = data[stream, WINDOW - 1 + sent[stream]]
+        sent[stream] += 1
+        replies[stream].append(await client.update(names[stream],
+                                                   row.tolist()))
+
+    async def drive(c: int, client, deadline: float) -> None:
         mine = list(range(c, SERVE_STREAMS, SERVE_CONNECTIONS))
-        i = 0
         while time.perf_counter() < deadline:
-            stream = mine[i % len(mine)]
+            stream = mine[position[c] % len(mine)]
             if sent[stream] >= SERVE_ROWS:
                 break
             flag = phase() if phase is not None else False
@@ -664,14 +716,19 @@ async def _serve(config: Config) -> Outcome:
             await request(client, stream)
             latencies.append(time.perf_counter() - tick)
             flags.append(flag)
-            i += 1
+            position[c] += 1
 
-    await asyncio.gather(*[drive(c, client)
-                           for c, client in enumerate(clients)])
-    elapsed = time.perf_counter() - start
+    async def drive_all(deadline: float) -> None:
+        await asyncio.gather(*[drive(c, client, deadline)
+                               for c, client in enumerate(clients)])
+
+    def run_until(deadline: float) -> None:
+        loop.run_until_complete(drive_all(deadline))
+
+    elapsed = timed_phase(config, setups, run_until)
     switch.set(False)
     rss_self = self_peak_rss_mb()
-    report = await teardown(state)
+    report = teardown(state)
     outcome.meta["fused.chunk_rows"] = report["chunk_rows"]
     outcome.meta["blas_threads_server"] = report["blas_threads"]
 
@@ -701,7 +758,7 @@ async def _serve(config: Config) -> Outcome:
     outcome.meta["streams_checked"] = len(checked)
 
     if not config.trace:
-        _end_to_end(outcome, median(times), latencies,
+        _end_to_end(outcome, setups, latencies,
                     len(latencies), elapsed, rss_self + report["rss_mb"])
         return outcome
     on, off = _split(latencies, flags)
